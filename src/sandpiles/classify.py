@@ -21,13 +21,14 @@ from .errors import (
     HypothesesFailError,
     IndexOutOfRangeError,
     InvalidSandpileError,
+    InvariantError,
     NotConeOfRegularError,
     NotPowerOfTwoError,
     NotTreeError,
     NotUniformlyLargeError,
 )
 from .graph import Multigraph, validate_sandpile
-from .linalg import reduced_laplacian, solve_exact
+from .linalg import solve_reduced
 from .rodometer import real_odometer
 
 # criterion tags, most specific certificate first
@@ -63,7 +64,8 @@ def _verdict(g, sigma, criterion) -> Verdict:
     immutable = all(a == b for a, b in zip(r, z))
     # agreement with the integer odometer and integrality of the real one
     # are the same condition; guard against any engine drift
-    assert immutable == all(x.denominator == 1 for x in r)
+    if immutable != all(x.denominator == 1 for x in r):
+        raise InvariantError("odometer agreement and integrality disagree")
     return Verdict(immutable, z, r, criterion)
 
 
@@ -108,7 +110,7 @@ def integrality_test(g: Multigraph, sigma) -> bool:
     if not is_uniformly_large(g, sigma):
         raise NotUniformlyLargeError("sigma must be >= degree - 1 everywhere")
     c = [s - d + 1 for s, d in zip(sigma, g.degrees_non_sink())]
-    u = solve_exact(reduced_laplacian(g), [Fraction(x) for x in c])
+    u = solve_reduced(g, c)
     return all(x.denominator == 1 for x in u)
 
 
@@ -121,7 +123,7 @@ def in_laplacian_image(g: Multigraph, values) -> tuple[int, ...] | None:
         raise InvalidSandpileError(
             f"expected {len(g.non_sink)} values, got {len(vals)}"
         )
-    a = solve_exact(reduced_laplacian(g), [Fraction(x) for x in vals])
+    a = solve_reduced(g, vals)
     if all(x.denominator == 1 for x in a):
         return tuple(int(x) for x in a)
     return None
@@ -145,7 +147,11 @@ def cone_criterion(g: Multigraph, sigma) -> Verdict:
     a = in_laplacian_image(g, sigma)
     if is_uniformly_large(g, sigma):
         if a is not None:
-            assert all(x >= d - 1 for x, d in zip(a, degs))
+            if any(x < d - 1 for x, d in zip(a, degs)):
+                raise InvariantError(
+                    "the Laplacian preimage of a uniformly large sigma is "
+                    "not uniformly large"
+                )
             u = tuple(x - d + 1 for x, d in zip(a, degs))
             return Verdict(True, u, tuple(Fraction(x) for x in u), CONE_IMAGE)
         return _verdict(g, sigma, CONE_IMAGE)

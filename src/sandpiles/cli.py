@@ -17,7 +17,7 @@ import sys
 from . import families, forests, graph as graphs
 from .classify import classify
 from .dynamics import stabilize
-from .errors import SandpileError
+from .errors import InvalidGroupError, SandpileError
 from .graph import Multigraph
 from .linalg import det_exact, inverse_exact, minor_matrix, laplacian, reduced_laplacian
 from .rodometer import group_odometer, real_odometer, integer_odometer
@@ -158,7 +158,10 @@ def _cmd_odometer(args) -> int:
             "fast_path_used": report.fast_path_used,
         }
     elif selector.startswith("q:"):
-        m = int(selector[2:])
+        try:
+            m = int(selector[2:])
+        except ValueError:
+            raise InvalidGroupError(f"group {selector!r} needs an integer denominator")
         report = group_odometer(g, sigma, m)
         payload = {
             "group": report.group,
@@ -166,7 +169,7 @@ def _cmd_odometer(args) -> int:
             "fast_path_used": report.fast_path_used,
         }
     else:
-        raise SandpileError(f"unknown group {selector!r}; use z, r, or q:<m>")
+        raise InvalidGroupError(f"unknown group {selector!r}; use z, r, or q:<m>")
     _emit(args, payload, f"{selector}-odometer of sigma on {g!r}")
     return 0
 

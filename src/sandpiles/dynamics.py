@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import InvalidSandpileError, InvariantError
 from .graph import Multigraph, validate_sandpile
 
 
@@ -100,7 +101,7 @@ def least_integer_solution(g: Multigraph, target) -> tuple[int, ...]:
     n = len(degs)
     target = [int(x) for x in target]
     if len(target) != n:
-        raise ValueError(f"expected {n} target values, got {len(target)}")
+        raise InvalidSandpileError(f"expected {n} target values, got {len(target)}")
     w = [0] * n
     row = [0] * n  # current value of L' w
     queue = deque(p for p in range(n) if target[p] > 0)
@@ -122,8 +123,10 @@ def least_integer_solution(g: Multigraph, target) -> tuple[int, ...]:
                 queue.append(q)
     # feasibility, and a minimality certificate: any raised vertex would
     # violate its inequality if lowered by one
-    assert all(row[p] >= target[p] for p in range(n))
-    assert all(w[p] == 0 or row[p] - degs[p] < target[p] for p in range(n))
+    if any(row[p] < target[p] for p in range(n)):
+        raise InvariantError("least integer solution is infeasible")
+    if any(w[p] and row[p] - degs[p] >= target[p] for p in range(n)):
+        raise InvariantError("least integer solution is not minimal")
     return tuple(w)
 
 

@@ -10,6 +10,12 @@ class SandpileError(Exception):
     """Base class for all domain errors."""
 
 
+class InvariantError(SandpileError):
+    """A certificate that a computed result must satisfy (feasibility,
+    minimality, non-negativity, active-set progress) failed; the engine
+    that produced the result is at fault, not the input."""
+
+
 # graph construction
 class EmptyGraphError(SandpileError):
     """Fewer than two vertices."""
@@ -33,6 +39,11 @@ class SizeTooSmallError(SandpileError):
 
 class InvalidSandpileError(SandpileError):
     """A sandpile vector has the wrong length or a negative entry."""
+
+
+# odometers
+class InvalidGroupError(SandpileError):
+    """The coefficient group is not z, r, or q:<m> with an integer m >= 1."""
 
 
 # exact linear algebra

@@ -31,7 +31,7 @@ class Multigraph:
     """
 
     __slots__ = ("_mult", "sink", "n_vertices", "_degrees", "non_sink",
-                 "_position", "_edges", "_reduced_adj")
+                 "_position", "_edges", "_reduced_adj", "_factors")
 
     def __init__(self, mult, sink: int):
         rows = tuple(tuple(int(x) for x in row) for row in mult)
@@ -59,6 +59,7 @@ class Multigraph:
         self._position = {v: i for i, v in enumerate(self.non_sink)}
         self._edges = None
         self._reduced_adj = None
+        self._factors = None
 
     def _check_connected(self):
         n = self.n_vertices
@@ -111,6 +112,14 @@ class Multigraph:
                 adj.append(row)
             self._reduced_adj = tuple(adj)
         return self._reduced_adj
+
+    def factor_cache(self) -> dict:
+        """This instance's store of exact factorizations of L' and its
+        principal submatrices, keyed by support (see linalg.solve_reduced).
+        It lives and dies with the instance; equal graphs never share it."""
+        if self._factors is None:
+            self._factors = {}
+        return self._factors
 
     def degrees_non_sink(self) -> tuple[int, ...]:
         return tuple(self._degrees[v] for v in self.non_sink)

@@ -3,8 +3,13 @@
 All arithmetic is arbitrary precision: matrices are plain lists of lists of
 Python ints or fractions.Fraction (always in lowest terms with positive
 denominator, so equality is structural).  No floating point anywhere.
-Determinants use fraction-free Bareiss elimination; inverses solve one
-column at a time.
+Determinants use fraction-free Bareiss elimination.  Solves and inverses go
+through ExactLU, a sparse LU factorization that eliminates only over stored
+nonzeros and keeps its multipliers, so every further right-hand side costs
+one forward and one back substitution.  ``solve_reduced`` solves with a
+graph's reduced Laplacian L' or one of its principal submatrices and caches
+the factor of each one it solves with more than once on the Multigraph
+instance.
 """
 
 from __future__ import annotations
@@ -110,45 +115,135 @@ def det_cofactor(M) -> int:
     return rec(tuple(range(n)), tuple(range(n)))
 
 
+class ExactLU:
+    """Exact LU factorization of a square rational matrix, stored sparsely.
+
+    ``rows`` holds each row as a {column: Fraction} dict of its nonzeros;
+    the factorization consumes the dicts.
+    Rows never move: column k's pivot comes from the first row, in index
+    order, that is not yet a pivot row and has a nonzero in column k.  For
+    each column the factor keeps that row, the pivot, the pivot row's
+    entries right of the diagonal (U) and the (row, multiplier) pairs that
+    the elimination subtracted (L).  Elimination visits stored nonzeros
+    only and drops entries that cancel, so a banded or sparse matrix pays
+    only for its fill.  Raises SingularMatrixError when a column has no
+    pivot.
+    """
+
+    __slots__ = ("n", "_pivot_rows", "_pivots", "_upper", "_lower")
+
+    def __init__(self, rows):
+        rows = list(rows)
+        n = len(rows)
+        self.n = n
+        self._pivot_rows = []
+        self._pivots = []
+        self._upper = []
+        self._lower = []
+        remaining = list(range(n))
+        for k in range(n):
+            hits = [i for i in remaining if k in rows[i]]
+            if not hits:
+                raise SingularMatrixError("matrix is singular")
+            p = hits[0]
+            remaining.remove(p)
+            pivot_row = rows[p]
+            pivot = pivot_row.pop(k)
+            upper = tuple(pivot_row.items())
+            lower = []
+            for i in hits[1:]:
+                row = rows[i]
+                f = row.pop(k) / pivot
+                for j, v in upper:
+                    new = row.get(j, 0) - f * v
+                    if new:
+                        row[j] = new
+                    else:
+                        row.pop(j, None)
+                lower.append((i, f))
+            rows[p] = None
+            self._pivot_rows.append(p)
+            self._pivots.append(pivot)
+            self._upper.append(upper)
+            self._lower.append(tuple(lower))
+
+    @classmethod
+    def from_matrix(cls, M) -> ExactLU:
+        """Factor a dense square matrix (lists of ints or Fractions)."""
+        _require_square(M)
+        return cls({j: Fraction(x) for j, x in enumerate(row) if x} for row in M)
+
+    def solve(self, b) -> list[Fraction]:
+        """The exact solution x of Mx = b: one forward substitution through
+        the multipliers, one back substitution through U; zero entries are
+        skipped."""
+        n = self.n
+        if len(b) != n:
+            raise IndexOutOfRangeError("right-hand side has wrong length")
+        y = [Fraction(v) for v in b]
+        for p, lower in zip(self._pivot_rows, self._lower):
+            yp = y[p]
+            if yp:
+                for i, f in lower:
+                    y[i] -= f * yp
+        x = [Fraction(0)] * n
+        for k in range(n - 1, -1, -1):
+            s = y[self._pivot_rows[k]]
+            for j, v in self._upper[k]:
+                if x[j]:
+                    s -= v * x[j]
+            x[k] = s / self._pivots[k]
+        return x
+
+
 def solve_exact(M, b) -> list[Fraction]:
-    """Exact rational solve of Mx = b by Gaussian elimination."""
-    n = _require_square(M)
-    if len(b) != n:
-        raise IndexOutOfRangeError("right-hand side has wrong length")
-    a = [[Fraction(x) for x in row] for row in M]
-    x = [Fraction(v) for v in b]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            x[k], x[pivot_row] = x[pivot_row], x[k]
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor:
-                row_i, row_k = a[i], a[k]
-                for j in range(k, n):
-                    row_i[j] -= factor * row_k[j]
-                x[i] -= factor * x[k]
-    for k in range(n - 1, -1, -1):
-        s = x[k]
-        row = a[k]
-        for j in range(k + 1, n):
-            s -= row[j] * x[j]
-        x[k] = s / row[k]
-    return x
+    """Exact rational solve of Mx = b: factor M, then substitute."""
+    return ExactLU.from_matrix(M).solve(b)
 
 
 def inverse_exact(M) -> list[list[Fraction]]:
-    """Exact rational inverse, one solve per column."""
-    n = _require_square(M)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve_exact(M, e))
+    """Exact rational inverse: factor once, substitute each unit column."""
+    lu = ExactLU.from_matrix(M)
+    n = lu.n
+    cols = [lu.solve([1 if i == j else 0 for i in range(n)]) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _principal_submatrix(g: Multigraph, support) -> list[list[int]]:
+    """L'[S, S] for the sandpile positions S, from the adjacency structure."""
+    index = {p: i for i, p in enumerate(support)}
+    degs = g.degrees_non_sink()
+    adj = g.reduced_adjacency()
+    M = [[0] * len(support) for _ in support]
+    for i, p in enumerate(support):
+        M[i][i] = degs[p]
+        for q, m in adj[p]:
+            j = index.get(q)
+            if j is not None:
+                M[i][j] = -m
+    return M
+
+
+def solve_reduced(g: Multigraph, b, support=None) -> list[Fraction]:
+    """Exact solution x of L'[S, S] x = b for S = ``support`` (sandpile
+    positions, every position by default); ``b`` and x are indexed like S.
+
+    The first solve on a support eliminates from scratch (``solve_exact``)
+    and keeps nothing; the second factors L'[S, S] and caches the factor on
+    ``g`` under S, so every later solve costs two substitutions.  A support
+    used once, the usual case on a large graph, thus costs one elimination
+    and no memory."""
+    key = tuple(range(len(g.non_sink))) if support is None else tuple(support)
+    cache = g.factor_cache()
+    lu = cache.get(key)
+    if lu is not None:
+        return lu.solve(b)
+    M = _principal_submatrix(g, key)
+    if key not in cache:
+        cache[key] = None
+        return solve_exact(M, b)
+    lu = cache[key] = ExactLU.from_matrix(M)
+    return lu.solve(b)
 
 
 def incidence(g: Multigraph, edge_order=None, orientations=None) -> list[list[int]]:

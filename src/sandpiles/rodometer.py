@@ -15,9 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import apply_reduced_laplacian, least_integer_solution, stabilize
-from .errors import NotUniformlyLargeError, TooLargeError
+from .errors import (
+    InvalidGroupError,
+    InvariantError,
+    NotUniformlyLargeError,
+    TooLargeError,
+)
 from .graph import Multigraph, validate_sandpile
-from .linalg import reduced_laplacian, solve_exact
+from .linalg import reduced_laplacian, solve_exact, solve_reduced
 
 
 @dataclass(frozen=True)
@@ -40,13 +45,20 @@ def uniformly_large_odometer(g: Multigraph, sigma) -> tuple[Fraction, ...]:
     c = _shifted_demand(g, sigma)
     if any(x < 0 for x in c):
         raise NotUniformlyLargeError("sigma must be >= degree - 1 everywhere")
-    u = solve_exact(reduced_laplacian(g), [Fraction(x) for x in c])
-    assert all(x >= 0 for x in u)
+    return _closed_form(g, c)
+
+
+def _closed_form(g: Multigraph, c) -> tuple[Fraction, ...]:
+    """(L')^{-1} c for a demand c >= 0, certified non-negative."""
+    u = solve_reduced(g, c)
+    if any(x < 0 for x in u):
+        raise InvariantError("the closed-form real odometer has a negative entry")
     return tuple(u)
 
 
 def _solve_on_support(Lp, c, support):
-    """Solve the equality system restricted to the support positions."""
+    """Solve the equality system restricted to the support positions on a
+    freshly built submatrix of Lp (the oracle's path, never cached)."""
     if not support:
         return []
     sub = [[Lp[i][j] for j in support] for i in support]
@@ -67,14 +79,14 @@ def _least_rational_solution(g: Multigraph, c) -> tuple[Fraction, ...]:
     positions whose entry went negative, re-add positions whose inequality
     broke.  L' is an M-matrix, so the iteration cannot revisit a support."""
     n = len(g.non_sink)
-    Lp = reduced_laplacian(g)
     support = list(range(n))
     seen = set()
     while True:
         key = tuple(support)
-        assert key not in seen, "active-set iteration revisited a support"
+        if key in seen:
+            raise InvariantError("active-set iteration revisited a support")
         seen.add(key)
-        x = _solve_on_support(Lp, c, support)
+        x = solve_reduced(g, [c[i] for i in support], support)
         negative = {i for i, xi in zip(support, x) if xi < 0}
         if negative:
             support = [i for i in support if i not in negative]
@@ -100,9 +112,7 @@ def real_odometer(g: Multigraph, sigma, use_fast_path: bool = True) -> OdometerR
     sigma = validate_sandpile(g, sigma)
     c = _shifted_demand(g, sigma)
     if use_fast_path and all(x >= 0 for x in c):
-        u = solve_exact(reduced_laplacian(g), [Fraction(x) for x in c])
-        assert all(x >= 0 for x in u)
-        return OdometerReport("r", tuple(u), True)
+        return OdometerReport("r", _closed_form(g, c), True)
     return OdometerReport("r", _least_rational_solution(g, c), False)
 
 
@@ -111,7 +121,7 @@ def group_odometer(g: Multigraph, sigma, m: int) -> OdometerReport:
     least-integer engine, divide back.  m = 1 is the plain integer
     odometer."""
     if m < 1:
-        raise ValueError("denominator m must be >= 1")
+        raise InvalidGroupError(f"denominator m must be >= 1, got {m}")
     sigma = validate_sandpile(g, sigma)
     c = _shifted_demand(g, sigma)
     w = least_integer_solution(g, [m * x for x in c])
@@ -146,5 +156,6 @@ def real_odometer_by_support_search(g: Multigraph, sigma) -> tuple[Fraction, ...
                 found.append(tuple(u))
     # feasible complementary points are automatically minimal, hence unique
     distinct = set(found)
-    assert len(distinct) == 1, f"expected a unique solution, got {distinct}"
+    if len(distinct) != 1:
+        raise InvariantError(f"expected a unique solution, got {distinct}")
     return found[0]

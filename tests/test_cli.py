@@ -132,6 +132,32 @@ def test_domain_error_exit_code(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("group", ["q:0", "q:-2", "q:x", "q:", "s"])
+def test_odometer_bad_group_is_a_domain_error(capsys, group):
+    code, out, _ = run_cli(
+        capsys, "odometer", "--family", "complete:3", "--sandpile", "2,0",
+        "--group", group,
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InvalidGroupError"
+
+
+def test_invariant_violation_is_a_domain_error(capsys, monkeypatch):
+    from fractions import Fraction
+
+    from sandpiles import rodometer
+
+    monkeypatch.setattr(
+        rodometer, "solve_reduced", lambda g, b, support=None: [Fraction(-1)] * len(b)
+    )
+    code, out, _ = run_cli(
+        capsys, "odometer", "--family", "complete:3", "--sandpile", "3,3",
+        "--group", "r",
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InvariantError"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["stabilize", "--bogus-flag"])

@@ -141,6 +141,11 @@ def test_least_integer_solution_matches_stabilize():
         assert least_integer_solution(g, demand) == stabilize(g, sigma).odometer
 
 
+def test_least_integer_solution_rejects_wrong_length():
+    with pytest.raises(InvalidSandpileError):
+        least_integer_solution(complete(3), (1, 2, 3))
+
+
 def test_least_integer_solution_k3_example():
     assert least_integer_solution(complete(3), (2, -2)) == (1, 0)
 

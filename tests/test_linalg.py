@@ -20,12 +20,16 @@ from sandpiles import (
     wheel,
 )
 from sandpiles.errors import IndexOutOfRangeError, NotSquareError, SingularMatrixError
+from sandpiles.families import verification_family
 from sandpiles.linalg import (
+    ExactLU,
     det_cofactor,
     is_identity,
     mat_mul,
+    mat_vec,
     matrix_from_json,
     matrix_to_json,
+    solve_reduced,
     transpose,
 )
 
@@ -156,6 +160,96 @@ def test_solve_exact_examples():
 def test_solve_exact_singular():
     with pytest.raises(SingularMatrixError):
         solve_exact([[1, 1], [1, 1]], [1, 2])
+
+
+def test_cached_solve_matches_fresh_solve_on_every_support():
+    rng = random.Random(5)
+    for g in verification_family(5):
+        Lp = reduced_laplacian(g)
+        n = len(Lp)
+        for k in range(1, n + 1):
+            for support in itertools.combinations(range(n), k):
+                sub = [[Lp[i][j] for j in support] for i in support]
+                for _ in range(3):
+                    b = [rng.randint(-20, 20) for _ in support]
+                    assert solve_reduced(g, b, support) == solve_exact(sub, b)
+
+
+def test_zero_leading_pivot_needs_a_row_swap():
+    M = [[0, 2, 1], [3, 0, 0], [1, 1, 0]]
+    b = [5, 6, 4]
+    x = solve_exact(M, b)
+    assert x == [2, 2, 1]
+    assert mat_vec(M, x) == b
+    assert solve_exact([[0, 1], [1, 0]], [3, 4]) == [4, 3]
+
+
+def test_singular_matrix_fails_at_factoring():
+    for M in ([[1, 1], [1, 1]], [[0, 0], [0, 1]], [[1, 2, 3], [2, 4, 6], [0, 1, 1]]):
+        with pytest.raises(SingularMatrixError):
+            ExactLU.from_matrix(M)
+
+
+def test_factor_solves_many_right_hand_sides():
+    rng = random.Random(7)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        M = [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
+        if det_exact(M) == 0:
+            continue
+        lu = ExactLU.from_matrix(M)
+        for _ in range(3):
+            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            assert mat_vec(M, lu.solve(b)) == b
+
+
+def test_factor_rejects_wrong_length_right_hand_side():
+    with pytest.raises(IndexOutOfRangeError):
+        ExactLU.from_matrix([[1, 0], [0, 1]]).solve([1])
+
+
+def test_second_solve_caches_a_factor_that_later_solves_reuse(monkeypatch):
+    from sandpiles import linalg
+
+    fresh = []
+
+    def counting_solve_exact(M, b):
+        fresh.append(len(M))
+        return solve_exact(M, b)
+
+    monkeypatch.setattr(linalg, "solve_exact", counting_solve_exact)
+    g = wheel(6)
+    Lp = reduced_laplacian(g)
+    cache = g.factor_cache()
+    full = tuple(range(5))
+    b = [1, 0, 2, 0, 0]
+    assert solve_reduced(g, b) == solve_exact(Lp, b)
+    assert fresh == [5] and cache[full] is None
+    assert solve_reduced(g, b) == solve_exact(Lp, b)
+    factor = cache[full]
+    assert isinstance(factor, ExactLU)
+    for rhs in ([0, 1, 0, 0, 0], [3, -1, 4, 1, -5]):
+        assert solve_reduced(g, rhs, range(5)) == solve_exact(Lp, rhs)
+        assert cache[full] is factor
+    assert fresh == [5]
+    sub = [[Lp[i][j] for j in (0, 2)] for i in (0, 2)]
+    for rhs in ([1, 1], [2, -3], [0, 5]):
+        assert solve_reduced(g, rhs, [0, 2]) == solve_exact(sub, rhs)
+    assert fresh == [5, 2]
+    assert set(cache) == {full, (0, 2)}
+
+
+def test_equal_graphs_never_share_a_factor():
+    g, h = wheel(6), wheel(6)
+    assert g == h and reduced_laplacian(g) == reduced_laplacian(h)
+    for graph in (g, h):
+        for _ in range(2):
+            solve_reduced(graph, [1, 0, 0, 0, 0])
+            solve_reduced(graph, [1, 1], (1, 3))
+    assert g.factor_cache() is not h.factor_cache()
+    for key in (tuple(range(5)), (1, 3)):
+        assert isinstance(g.factor_cache()[key], ExactLU)
+        assert g.factor_cache()[key] is not h.factor_cache()[key]
 
 
 def test_incidence_single_edge():

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 import random
 from fractions import Fraction
 
@@ -21,7 +23,7 @@ from sandpiles import (
     wheel,
 )
 from sandpiles.dynamics import apply_reduced_laplacian
-from sandpiles.errors import NotUniformlyLargeError
+from sandpiles.errors import InvalidGroupError, InvariantError, NotUniformlyLargeError
 
 F = Fraction
 
@@ -133,8 +135,9 @@ def test_group_odometer_denominators_divide_m():
 
 
 def test_group_odometer_rejects_bad_m():
-    with pytest.raises(ValueError):
-        group_odometer(complete(3), (2, 0), 0)
+    for m in (0, -2):
+        with pytest.raises(InvalidGroupError):
+            group_odometer(complete(3), (2, 0), m)
 
 
 def test_integer_odometer_matches_group_one():
@@ -217,3 +220,33 @@ def test_group_immutability_transfer_at_full_denominator():
             r_immutable = tuple(r) == tuple(F(x) for x in z)
             q_immutable = all(x.denominator == 1 for x in q)
             assert r_immutable == q_immutable
+
+
+def test_negative_closed_form_raises_invariant_error(monkeypatch):
+    from sandpiles import rodometer
+
+    monkeypatch.setattr(rodometer, "solve_reduced", lambda g, b, support=None: [F(-1)] * len(b))
+    g = complete(4)
+    with pytest.raises(InvariantError):
+        uniformly_large_odometer(g, (2, 2, 2))
+    with pytest.raises(InvariantError):
+        real_odometer(g, (2, 2, 2))
+
+
+def test_invariant_error_survives_optimized_mode():
+    # the certificates are explicit checks, so python -O keeps them
+    code = (
+        "from fractions import Fraction\n"
+        "from sandpiles import complete, rodometer\n"
+        "from sandpiles.errors import InvariantError\n"
+        "rodometer.solve_reduced = lambda g, b, support=None: [Fraction(-1)] * len(b)\n"
+        "try:\n"
+        "    rodometer.uniformly_large_odometer(complete(4), (2, 2, 2))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "raised"
