@@ -110,8 +110,8 @@ def integrality_test(g: Multigraph, sigma) -> bool:
     if not is_uniformly_large(g, sigma):
         raise NotUniformlyLargeError("sigma must be >= degree - 1 everywhere")
     c = [s - d + 1 for s, d in zip(sigma, g.degrees_non_sink())]
-    u = solve_reduced(g, c)
-    return all(x.denominator == 1 for x in u)
+    num, den = solve_reduced(g, c)
+    return all(x % den == 0 for x in num)
 
 
 def in_laplacian_image(g: Multigraph, values) -> tuple[int, ...] | None:
@@ -123,9 +123,9 @@ def in_laplacian_image(g: Multigraph, values) -> tuple[int, ...] | None:
         raise InvalidSandpileError(
             f"expected {len(g.non_sink)} values, got {len(vals)}"
         )
-    a = solve_reduced(g, vals)
-    if all(x.denominator == 1 for x in a):
-        return tuple(int(x) for x in a)
+    num, den = solve_reduced(g, vals)
+    if all(x % den == 0 for x in num):
+        return tuple(x // den for x in num)
     return None
 
 

@@ -17,7 +17,7 @@ import sys
 from . import families, forests, graph as graphs
 from .classify import classify
 from .dynamics import stabilize
-from .errors import InvalidGroupError, SandpileError
+from .errors import InvalidBoxError, InvalidGroupError, SandpileError
 from .graph import Multigraph
 from .linalg import det_exact, inverse_exact, minor_matrix, laplacian, reduced_laplacian
 from .rodometer import group_odometer, real_odometer, integer_odometer
@@ -76,20 +76,25 @@ def _parse_box(g: Multigraph, box: str) -> list[range]:
 
     def bound(token: str, degree: int) -> int:
         token = token.strip()
-        if token.startswith("d"):
-            rest = token[1:]
-            return degree + (int(rest) if rest else 0)
-        return int(token)
+        try:
+            if token.startswith("d"):
+                rest = token[1:]
+                return degree + (int(rest) if rest else 0)
+            return int(token)
+        except ValueError:
+            raise InvalidBoxError(
+                f"box bound {token!r} must be an integer or d, d-k, d+k"
+            ) from None
 
     lo_s, sep, hi_s = box.partition(":")
     if not sep:
-        raise SandpileError(f"box {box!r} must look like lo:hi")
+        raise InvalidBoxError(f"box {box!r} must look like lo:hi")
     out = []
     for v in g.non_sink:
         lo = max(0, bound(lo_s, g.degree(v)))
         hi = bound(hi_s, g.degree(v))
         if hi < lo:
-            raise SandpileError(f"box {box!r} is empty at vertex {v}")
+            raise InvalidBoxError(f"box {box!r} is empty at vertex {v}")
         out.append(range(lo, hi + 1))
     return out
 

@@ -41,6 +41,19 @@ class InvalidSandpileError(SandpileError):
     """A sandpile vector has the wrong length or a negative entry."""
 
 
+# input formats
+class UnknownFixtureError(SandpileError):
+    """No named fixture has the given name."""
+
+
+class GraphFormatError(SandpileError):
+    """A graph JSON object lacks integer "vertices", "sink" or "edges"."""
+
+
+class InvalidBoxError(SandpileError):
+    """A survey box is not lo:hi with integer or degree-relative bounds."""
+
+
 # odometers
 class InvalidGroupError(SandpileError):
     """The coefficient group is not z, r, or q:<m> with an integer m >= 1."""
@@ -53,6 +66,10 @@ class NotSquareError(SandpileError):
 
 class SingularMatrixError(SandpileError):
     """The matrix is singular over the rationals."""
+
+
+class NotIntegralError(SandpileError):
+    """An integer matrix was required."""
 
 
 # forest enumeration

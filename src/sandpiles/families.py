@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graph as graphs
+from .errors import UnknownFixtureError
 from .graph import Multigraph
 
 FAMILY_SEED = 408101
@@ -136,7 +137,7 @@ def fixture_by_name(name: str) -> Fixture:
     for fx in named_fixtures():
         if fx.name == name:
             return fx
-    raise KeyError(f"unknown fixture {name!r}")
+    raise UnknownFixtureError(f"unknown fixture {name!r}")
 
 
 def fixture_graphs() -> dict[str, Multigraph]:

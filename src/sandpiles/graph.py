@@ -10,11 +10,13 @@ vertex index.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from .errors import (
     DisconnectedError,
     EmptyGraphError,
+    GraphFormatError,
     IndexOutOfRangeError,
     InvalidSandpileError,
     SelfLoopError,
@@ -31,7 +33,7 @@ class Multigraph:
     """
 
     __slots__ = ("_mult", "sink", "n_vertices", "_degrees", "non_sink",
-                 "_position", "_edges", "_reduced_adj", "_factors")
+                 "_position", "_edges", "_reduced_adj", "_factors", "_shapes")
 
     def __init__(self, mult, sink: int):
         rows = tuple(tuple(int(x) for x in row) for row in mult)
@@ -60,6 +62,7 @@ class Multigraph:
         self._edges = None
         self._reduced_adj = None
         self._factors = None
+        self._shapes = None
 
     def _check_connected(self):
         n = self.n_vertices
@@ -211,7 +214,26 @@ def cone(g: Multigraph) -> Multigraph:
 
 
 # --- shape predicates ------------------------------------------------------
+#
+# A Multigraph is immutable, so each predicate runs once per instance and
+# keeps its answer in the instance's ``_shapes`` slot; a survey that
+# classifies thousands of sandpiles on one graph recognizes it once.
 
+def _once_per_graph(predicate):
+    name = predicate.__name__
+
+    @functools.wraps(predicate)
+    def memoized(g: Multigraph):
+        if g._shapes is None:
+            g._shapes = {}
+        if name not in g._shapes:
+            g._shapes[name] = predicate(g)
+        return g._shapes[name]
+
+    return memoized
+
+
+@_once_per_graph
 def is_cone_of_regular(g: Multigraph) -> bool:
     """True iff the sink is joined once to every other vertex and all
     non-sink degrees agree (so deleting the sink leaves a regular graph)."""
@@ -221,11 +243,13 @@ def is_cone_of_regular(g: Multigraph) -> bool:
     return len(degs) == 1
 
 
+@_once_per_graph
 def is_tree(g: Multigraph) -> bool:
     """Connected with exactly n_vertices - 1 edges (parallel copies counted)."""
     return len(g.edges()) == g.n_vertices - 1
 
 
+@_once_per_graph
 def is_complete_graph(g: Multigraph) -> bool:
     """Every pair of distinct vertices joined by exactly one edge."""
     n = g.n_vertices
@@ -234,9 +258,10 @@ def is_complete_graph(g: Multigraph) -> bool:
     )
 
 
-def wheel_rim_order(g: Multigraph) -> list[int] | None:
-    """If g is a wheel with the sink at the hub, return its rim as a list of
-    sandpile positions in cyclic order; otherwise None.
+@_once_per_graph
+def wheel_rim_order(g: Multigraph) -> tuple[int, ...] | None:
+    """If g is a wheel with the sink at the hub, return its rim as a tuple
+    of sandpile positions in cyclic order; otherwise None.
 
     The rim must be a single simple cycle of length >= 3, each rim vertex
     joined to the hub by exactly one spoke.  The orientation starts at the
@@ -264,7 +289,7 @@ def wheel_rim_order(g: Multigraph) -> list[int] | None:
         prev, cur = cur, nxt[0]
     if len(order) != n:
         return None
-    return [g.position(v) for v in order]
+    return tuple(g.position(v) for v in order)
 
 
 # --- sandpiles -------------------------------------------------------------
@@ -295,11 +320,15 @@ def graph_to_json(g: Multigraph) -> dict:
 
 
 def graph_from_json(data: dict) -> Multigraph:
-    return from_edge_list(
-        int(data["vertices"]),
-        int(data["sink"]),
-        [(int(v), int(w), int(k)) for v, w, k in data["edges"]],
-    )
+    try:
+        n_vertices, sink = int(data["vertices"]), int(data["sink"])
+        edges = [(int(v), int(w), int(k)) for v, w, k in data["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphFormatError(
+            'a graph is {"vertices": int, "sink": int, "edges": '
+            f"[[v, w, multiplicity], ...]}} ({type(exc).__name__}: {exc})"
+        ) from None
+    return from_edge_list(n_vertices, sink, edges)
 
 
 def sandpile_to_json(values) -> dict:
@@ -307,4 +336,9 @@ def sandpile_to_json(values) -> dict:
 
 
 def sandpile_from_json(data: dict) -> tuple[int, ...]:
-    return tuple(int(x) for x in data["values"])
+    try:
+        return tuple(int(x) for x in data["values"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSandpileError(
+            f'a sandpile is {{"values": [int, ...]}} ({type(exc).__name__}: {exc})'
+        ) from None

@@ -4,19 +4,30 @@ All arithmetic is arbitrary precision: matrices are plain lists of lists of
 Python ints or fractions.Fraction (always in lowest terms with positive
 denominator, so equality is structural).  No floating point anywhere.
 Determinants use fraction-free Bareiss elimination.  Solves and inverses go
-through ExactLU, a sparse LU factorization that eliminates only over stored
-nonzeros and keeps its multipliers, so every further right-hand side costs
-one forward and one back substitution.  ``solve_reduced`` solves with a
-graph's reduced Laplacian L' or one of its principal submatrices and caches
-the factor of each one it solves with more than once on the Multigraph
+through ExactLU, a sparse LU factorization of an integer matrix that
+eliminates only over stored nonzeros and stores its factor fraction-free:
+the leading minors, and the U rows and multipliers scaled by them to
+integers.  ``ExactLU.solve_num`` substitutes in integers only and returns
+integer numerators over one positive denominator, the determinant of the
+(row-ordered) matrix; ``solve`` divides them once at the end.
+``solve_reduced`` solves with a graph's reduced Laplacian L' or one of its
+principal submatrices, returns numerators over one denominator, and caches
+the factor of each matrix it solves with more than once on the Multigraph
 instance.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import lcm
 
-from .errors import IndexOutOfRangeError, NotSquareError, SingularMatrixError
+from .errors import (
+    IndexOutOfRangeError,
+    NotIntegralError,
+    NotSquareError,
+    SingularMatrixError,
+)
 from .graph import Multigraph
 
 
@@ -116,31 +127,37 @@ def det_cofactor(M) -> int:
 
 
 class ExactLU:
-    """Exact LU factorization of a square rational matrix, stored sparsely.
+    """Exact LU factorization of a square integer matrix, stored sparsely
+    and fraction-free.
 
-    ``rows`` holds each row as a {column: Fraction} dict of its nonzeros;
-    the factorization consumes the dicts.
-    Rows never move: column k's pivot comes from the first row, in index
-    order, that is not yet a pivot row and has a nonzero in column k.  For
-    each column the factor keeps that row, the pivot, the pivot row's
-    entries right of the diagonal (U) and the (row, multiplier) pairs that
-    the elimination subtracted (L).  Elimination visits stored nonzeros
-    only and drops entries that cancel, so a banded or sparse matrix pays
-    only for its fill.  Raises SingularMatrixError when a column has no
-    pivot.
+    ``rows`` holds each row as a {column: Fraction} dict of its nonzeros
+    (integer-valued); the factorization consumes the dicts.  Rows never
+    move: column k's pivot comes from the first row, in index order, that
+    is not yet a pivot row and has a nonzero in column k.  Elimination runs
+    in ``Fraction`` arithmetic, visits stored nonzeros only and drops
+    entries that cancel, so a banded or sparse matrix pays only for its
+    fill.  Raises SingularMatrixError when a column has no pivot.
+
+    The factor keeps integers only (Bareiss 1968).  With pivots pi_k and
+    leading minors p_k = pi_0 ... pi_k (p_-1 = 1), column k stores its
+    pivot row, p_k, the pivot row's entries right of the diagonal scaled by
+    p_(k-1) (U-hat) and the (row, multiplier * p_k) pairs of the rows that
+    the elimination subtracted from (L-hat).  These are minors of the
+    matrix, hence integers, with the sparsity of the rational factor.
     """
 
-    __slots__ = ("n", "_pivot_rows", "_pivots", "_upper", "_lower")
+    __slots__ = ("n", "_pivot_rows", "_minors", "_upper", "_lower")
 
     def __init__(self, rows):
         rows = list(rows)
         n = len(rows)
         self.n = n
         self._pivot_rows = []
-        self._pivots = []
+        self._minors = [1]  # p_(k-1) at index k
         self._upper = []
         self._lower = []
         remaining = list(range(n))
+        prev = 1
         for k in range(n):
             hits = [i for i in remaining if k in rows[i]]
             if not hits:
@@ -153,47 +170,86 @@ class ExactLU:
             lower = []
             for i in hits[1:]:
                 row = rows[i]
-                f = row.pop(k) / pivot
+                a = row.pop(k)
+                f = a / pivot
                 for j, v in upper:
                     new = row.get(j, 0) - f * v
                     if new:
                         row[j] = new
                     else:
                         row.pop(j, None)
-                lower.append((i, f))
+                lower.append((i, prev * a.numerator // a.denominator))
             rows[p] = None
             self._pivot_rows.append(p)
-            self._pivots.append(pivot)
-            self._upper.append(upper)
+            self._upper.append(
+                tuple((j, prev * v.numerator // v.denominator) for j, v in upper)
+            )
             self._lower.append(tuple(lower))
+            prev = prev * pivot.numerator // pivot.denominator
+            self._minors.append(prev)
 
     @classmethod
     def from_matrix(cls, M) -> ExactLU:
-        """Factor a dense square matrix (lists of ints or Fractions)."""
+        """Factor a dense square integer matrix (ints or integral Fractions)."""
         _require_square(M)
-        return cls({j: Fraction(x) for j, x in enumerate(row) if x} for row in M)
+        rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in M]
+        if any(x.denominator != 1 for row in rows for x in row.values()):
+            raise NotIntegralError("the matrix must have integer entries")
+        return cls(rows)
 
-    def solve(self, b) -> list[Fraction]:
-        """The exact solution x of Mx = b: one forward substitution through
-        the multipliers, one back substitution through U; zero entries are
-        skipped."""
+    def solve_num(self, b) -> tuple[list[int], int]:
+        """(X, det) with det > 0 and X / det the exact solution of Mx = b,
+        for an integer right-hand side, in integer arithmetic only.
+
+        The forward pass keeps each row's value y_i as v_i / p_(level_i - 1)
+        and brings it to the current level only when a multiplier reaches
+        it; the back pass builds X = p_(n-1) x.  Every division is exact
+        (Bareiss), and zero entries are skipped."""
         n = self.n
         if len(b) != n:
             raise IndexOutOfRangeError("right-hand side has wrong length")
-        y = [Fraction(v) for v in b]
-        for p, lower in zip(self._pivot_rows, self._lower):
-            yp = y[p]
-            if yp:
-                for i, f in lower:
-                    y[i] -= f * yp
-        x = [Fraction(0)] * n
+        v = [operator.index(x) for x in b]
+        level = [0] * n
+        minors = self._minors
+        z = [0] * n
+        for k, (r, lower) in enumerate(zip(self._pivot_rows, self._lower)):
+            prev = minors[k]
+            zk = v[r] if level[r] == k else v[r] * prev // minors[level[r]]
+            z[k] = zk
+            if not zk:
+                continue
+            pk = minors[k + 1]
+            for i, l in lower:
+                w = v[i] if level[i] == k else v[i] * prev // minors[level[i]]
+                v[i] = (w * pk - l * zk) // prev
+                level[i] = k + 1
+        det = minors[n]
+        x = [0] * n
         for k in range(n - 1, -1, -1):
-            s = y[self._pivot_rows[k]]
-            for j, v in self._upper[k]:
+            s = det * z[k]
+            for j, u in self._upper[k]:
                 if x[j]:
-                    s -= v * x[j]
-            x[k] = s / self._pivots[k]
-        return x
+                    s -= u * x[j]
+            x[k] = s // minors[k + 1]
+        if det < 0:
+            return [-xk for xk in x], -det
+        return x, det
+
+    def solve(self, b) -> list[Fraction]:
+        """The exact solution x of Mx = b for a rational b: b is scaled to
+        integers, and ``solve_num``'s numerators are divided once at the
+        end."""
+        scaled, scale = _over_common_denominator(b)
+        num, den = self.solve_num(scaled)
+        den *= scale
+        return [Fraction(x, den) for x in num]
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    values = [Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def solve_exact(M, b) -> list[Fraction]:
@@ -224,26 +280,28 @@ def _principal_submatrix(g: Multigraph, support) -> list[list[int]]:
     return M
 
 
-def solve_reduced(g: Multigraph, b, support=None) -> list[Fraction]:
-    """Exact solution x of L'[S, S] x = b for S = ``support`` (sandpile
-    positions, every position by default); ``b`` and x are indexed like S.
+def solve_reduced(g: Multigraph, b, support=None) -> tuple[list[int], int]:
+    """Exact solution of L'[S, S] x = b for S = ``support`` (sandpile
+    positions, every position by default) and an integer b, as integer
+    numerators over one denominator: (X, den) with den > 0 and x = X / den;
+    ``b`` and X are indexed like S.
 
     The first solve on a support eliminates from scratch (``solve_exact``)
     and keeps nothing; the second factors L'[S, S] and caches the factor on
-    ``g`` under S, so every later solve costs two substitutions.  A support
-    used once, the usual case on a large graph, thus costs one elimination
-    and no memory."""
+    ``g`` under S, so every later solve costs two integer substitutions.  A
+    support used once, the usual case on a large graph, thus costs one
+    elimination and no memory."""
     key = tuple(range(len(g.non_sink))) if support is None else tuple(support)
     cache = g.factor_cache()
     lu = cache.get(key)
     if lu is not None:
-        return lu.solve(b)
+        return lu.solve_num(b)
     M = _principal_submatrix(g, key)
     if key not in cache:
         cache[key] = None
-        return solve_exact(M, b)
+        return _over_common_denominator(solve_exact(M, b))
     lu = cache[key] = ExactLU.from_matrix(M)
-    return lu.solve(b)
+    return lu.solve_num(b)
 
 
 def incidence(g: Multigraph, edge_order=None, orientations=None) -> list[list[int]]:

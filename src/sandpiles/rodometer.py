@@ -50,10 +50,10 @@ def uniformly_large_odometer(g: Multigraph, sigma) -> tuple[Fraction, ...]:
 
 def _closed_form(g: Multigraph, c) -> tuple[Fraction, ...]:
     """(L')^{-1} c for a demand c >= 0, certified non-negative."""
-    u = solve_reduced(g, c)
-    if any(x < 0 for x in u):
+    num, den = solve_reduced(g, c)
+    if any(x < 0 for x in num):
         raise InvariantError("the closed-form real odometer has a negative entry")
-    return tuple(u)
+    return tuple(Fraction(x, den) for x in num)
 
 
 def _solve_on_support(Lp, c, support):
@@ -67,7 +67,7 @@ def _solve_on_support(Lp, c, support):
 
 
 def _embed(n, support, x):
-    u = [Fraction(0)] * n
+    u = [0] * n
     for i, xi in zip(support, x):
         u[i] = xi
     return u
@@ -77,7 +77,9 @@ def _least_rational_solution(g: Multigraph, c) -> tuple[Fraction, ...]:
     """Least u >= 0 over the rationals with L'u >= c, by active-set
     iteration: solve the equality system on the current support, drop
     positions whose entry went negative, re-add positions whose inequality
-    broke.  L' is an M-matrix, so the iteration cannot revisit a support."""
+    broke.  L' is an M-matrix, so the iteration cannot revisit a support.
+    Each iterate is kept as integer numerators over the solve's
+    denominator, so the tests run on integers."""
     n = len(g.non_sink)
     support = list(range(n))
     seen = set()
@@ -86,21 +88,21 @@ def _least_rational_solution(g: Multigraph, c) -> tuple[Fraction, ...]:
         if key in seen:
             raise InvariantError("active-set iteration revisited a support")
         seen.add(key)
-        x = solve_reduced(g, [c[i] for i in support], support)
-        negative = {i for i, xi in zip(support, x) if xi < 0}
+        num, den = solve_reduced(g, [c[i] for i in support], support)
+        negative = {i for i, xi in zip(support, num) if xi < 0}
         if negative:
             support = [i for i in support if i not in negative]
             continue
-        u = _embed(n, support, x)
+        u = _embed(n, support, num)
         row = apply_reduced_laplacian(g, u)
         in_support = set(support)
         violated = [
-            i for i in range(n) if i not in in_support and row[i] < c[i]
+            i for i in range(n) if i not in in_support and row[i] < den * c[i]
         ]
         if violated:
             support = sorted(in_support | set(violated))
             continue
-        return tuple(u)
+        return tuple(Fraction(x, den) for x in u)
 
 
 def real_odometer(g: Multigraph, sigma, use_fast_path: bool = True) -> OdometerReport:
@@ -158,4 +160,4 @@ def real_odometer_by_support_search(g: Multigraph, sigma) -> tuple[Fraction, ...
     distinct = set(found)
     if len(distinct) != 1:
         raise InvariantError(f"expected a unique solution, got {distinct}")
-    return found[0]
+    return tuple(Fraction(x) for x in found[0])

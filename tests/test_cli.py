@@ -142,13 +142,42 @@ def test_odometer_bad_group_is_a_domain_error(capsys, group):
     assert json.loads(out)["error"]["type"] == "InvalidGroupError"
 
 
-def test_invariant_violation_is_a_domain_error(capsys, monkeypatch):
-    from fractions import Fraction
+def test_unknown_fixture_is_a_domain_error(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--fixture", "nope")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "UnknownFixtureError"
 
+
+def test_graph_json_without_sink_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [[0, 1, 1], [1, 2, 1]]}))
+    code, out, _ = run_cli(capsys, "info", "--graph", str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "GraphFormatError"
+
+
+def test_sandpile_json_without_values_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"vals": [2, 0]}))
+    code, out, _ = run_cli(
+        capsys, "stabilize", "--family", "complete:3", "--sandpile", str(path)
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InvalidSandpileError"
+
+
+@pytest.mark.parametrize("box", ["0:x", "x:3", "d+:3", "03", "3:0"])
+def test_bad_survey_box_is_a_domain_error(capsys, box):
+    code, out, _ = run_cli(capsys, "survey", "--family", "wheel:5", "--box", box)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InvalidBoxError"
+
+
+def test_invariant_violation_is_a_domain_error(capsys, monkeypatch):
     from sandpiles import rodometer
 
     monkeypatch.setattr(
-        rodometer, "solve_reduced", lambda g, b, support=None: [Fraction(-1)] * len(b)
+        rodometer, "solve_reduced", lambda g, b, support=None: ([-1] * len(b), 1)
     )
     code, out, _ = run_cli(
         capsys, "odometer", "--family", "complete:3", "--sandpile", "3,3",

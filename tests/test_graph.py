@@ -136,7 +136,7 @@ def test_is_tree():
 def test_wheel_rim_order_positions():
     g = wheel(6)
     order = wheel_rim_order(g)
-    assert order is not None and len(order) == 5
+    assert isinstance(order, tuple) and len(order) == 5
     assert sorted(order) == [0, 1, 2, 3, 4]
     assert wheel_rim_order(path(4)) is None
     assert wheel_rim_order(complete(5)) is None  # rim is not a simple cycle
@@ -178,3 +178,23 @@ def test_graph_hashable_and_immutable():
     assert hash(g) == hash(complete(3))
     assert g == complete(3)
     assert g != complete(4)
+
+
+def test_shape_predicates_run_once_per_graph(monkeypatch):
+    from sandpiles import graph as graphs
+
+    calls = []
+    real_edges = graphs.Multigraph.edges
+
+    def counting_edges(self):
+        calls.append(self)
+        return real_edges(self)
+
+    g, h = wheel(6), wheel(6)
+    monkeypatch.setattr(graphs.Multigraph, "edges", counting_edges)
+    for _ in range(3):
+        assert not is_tree(g) and not is_tree(h)
+        assert wheel_rim_order(g) == wheel_rim_order(h) is not None
+    # each instance recognized once; equal graphs share nothing
+    assert [id(x) for x in calls] == [id(g), id(h)]
+    assert wheel_rim_order(g) is wheel_rim_order(g)

@@ -19,7 +19,12 @@ from sandpiles import (
     solve_exact,
     wheel,
 )
-from sandpiles.errors import IndexOutOfRangeError, NotSquareError, SingularMatrixError
+from sandpiles.errors import (
+    IndexOutOfRangeError,
+    NotIntegralError,
+    NotSquareError,
+    SingularMatrixError,
+)
 from sandpiles.families import verification_family
 from sandpiles.linalg import (
     ExactLU,
@@ -162,7 +167,16 @@ def test_solve_exact_singular():
         solve_exact([[1, 1], [1, 1]], [1, 2])
 
 
+def _rationals(solved):
+    """solve_reduced's (numerators, denominator) as Fractions; den > 0."""
+    num, den = solved
+    assert den > 0 and all(isinstance(x, int) for x in num)
+    return [Fraction(x, den) for x in num]
+
+
 def test_cached_solve_matches_fresh_solve_on_every_support():
+    # per support: the first use (a fresh solve_exact), the second (which
+    # factors) and a cached one agree with each other and with solve_exact
     rng = random.Random(5)
     for g in verification_family(5):
         Lp = reduced_laplacian(g)
@@ -170,9 +184,67 @@ def test_cached_solve_matches_fresh_solve_on_every_support():
         for k in range(1, n + 1):
             for support in itertools.combinations(range(n), k):
                 sub = [[Lp[i][j] for j in support] for i in support]
+                b = [rng.randint(-20, 20) for _ in support]
+                expected = solve_exact(sub, b)
                 for _ in range(3):
-                    b = [rng.randint(-20, 20) for _ in support]
-                    assert solve_reduced(g, b, support) == solve_exact(sub, b)
+                    assert _rationals(solve_reduced(g, b, support)) == expected
+                b = [rng.randint(-20, 20) for _ in support]
+                assert _rationals(solve_reduced(g, b, support)) == solve_exact(sub, b)
+
+
+def _reference_solve(M, b):
+    """Dense Gaussian elimination with row swaps and back substitution in
+    Fractions, independent of ExactLU."""
+    n = len(M)
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(M, b)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        s = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
+        x[k] = s / a[k][k]
+    return x
+
+
+def test_solve_num_agrees_with_a_fraction_reference():
+    rng = random.Random(13)
+    matrices = [
+        [[0, 2, 1], [3, 0, 0], [1, 1, 0]],  # zero leading pivot
+        [[0, 1], [1, 0]],  # row swap, det -1
+        [[2, 1], [1, -4]],  # det -9 without a swap
+        [[1]], [[-3]], [[7]],
+    ]
+    while len(matrices) < 300:
+        n = rng.randint(1, 7)
+        M = [[rng.choice((0, 0, 0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
+        if det_exact(M):
+            matrices.append(M)
+    assert sum(len(M) == 1 for M in matrices) >= 3
+    assert sum(M[0][0] == 0 for M in matrices) >= 10
+    assert sum(det_exact(M) < 0 for M in matrices) >= 10
+    for M in matrices:
+        lu = ExactLU.from_matrix(M)
+        for _ in range(3):
+            b = [rng.randint(-30, 30) for _ in M]
+            num, den = lu.solve_num(b)
+            assert den == abs(det_exact(M))
+            assert all(isinstance(x, int) for x in num)
+            assert [Fraction(x, den) for x in num] == _reference_solve(M, b)
+            assert lu.solve(b) == _reference_solve(M, b)
+
+
+def test_solve_num_takes_integers_only():
+    lu = ExactLU.from_matrix([[2, 1], [1, 2]])
+    assert lu.solve_num([3, 0]) == ([6, -3], 3)
+    with pytest.raises(TypeError):
+        lu.solve_num([Fraction(1, 2), 0])
+    with pytest.raises(NotIntegralError):
+        ExactLU.from_matrix([[Fraction(1, 2), 0], [0, 1]])
+    assert ExactLU.from_matrix([[Fraction(2), 0], [0, 1]]).solve([1, 1]) == [Fraction(1, 2), 1]
 
 
 def test_zero_leading_pivot_needs_a_row_swap():
@@ -185,9 +257,11 @@ def test_zero_leading_pivot_needs_a_row_swap():
 
 
 def test_singular_matrix_fails_at_factoring():
-    for M in ([[1, 1], [1, 1]], [[0, 0], [0, 1]], [[1, 2, 3], [2, 4, 6], [0, 1, 1]]):
+    for M in ([[1, 1], [1, 1]], [[0, 0], [0, 1]], [[1, 2, 3], [2, 4, 6], [0, 1, 1]], [[0]]):
         with pytest.raises(SingularMatrixError):
             ExactLU.from_matrix(M)
+        with pytest.raises(SingularMatrixError):
+            solve_exact(M, [1] * len(M))
 
 
 def test_factor_solves_many_right_hand_sides():
@@ -223,18 +297,20 @@ def test_second_solve_caches_a_factor_that_later_solves_reuse(monkeypatch):
     cache = g.factor_cache()
     full = tuple(range(5))
     b = [1, 0, 2, 0, 0]
-    assert solve_reduced(g, b) == solve_exact(Lp, b)
+    assert _rationals(solve_reduced(g, b)) == solve_exact(Lp, b)
     assert fresh == [5] and cache[full] is None
-    assert solve_reduced(g, b) == solve_exact(Lp, b)
+    # a factored solve is over det L', the count of spanning trees
+    num, den = solve_reduced(g, b)
+    assert den == det_exact(Lp) and _rationals((num, den)) == solve_exact(Lp, b)
     factor = cache[full]
     assert isinstance(factor, ExactLU)
     for rhs in ([0, 1, 0, 0, 0], [3, -1, 4, 1, -5]):
-        assert solve_reduced(g, rhs, range(5)) == solve_exact(Lp, rhs)
+        assert _rationals(solve_reduced(g, rhs, range(5))) == solve_exact(Lp, rhs)
         assert cache[full] is factor
     assert fresh == [5]
     sub = [[Lp[i][j] for j in (0, 2)] for i in (0, 2)]
     for rhs in ([1, 1], [2, -3], [0, 5]):
-        assert solve_reduced(g, rhs, [0, 2]) == solve_exact(sub, rhs)
+        assert _rationals(solve_reduced(g, rhs, [0, 2])) == solve_exact(sub, rhs)
     assert fresh == [5, 2]
     assert set(cache) == {full, (0, 2)}
 
